@@ -67,7 +67,10 @@ func main() {
 		queueDepth   = flag.Int("queue-depth", 64, "bounded job queue depth")
 		cacheEntries = flag.Int("cache-entries", 64, "plan cache entry bound (negative: unlimited)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache byte bound (0: unlimited)")
-		analyze      = flag.Bool("analyze", true, "compute the spectral pre-flight report per plan")
+		analyze      = flag.Bool("analyze", true, "compute the spectral pre-flight report (rho(B), rho(|B|), tau) on each plan-cache miss: "+
+			"one Perron power iteration on |B| gives both radii, exactly, when B = I-D^-1 A is signature-similar to +-|B| "+
+			"(every M-matrix and paper matrix); other matrices add a power method on B. "+
+			"Cost on a 2-vCPU VM: under 1 ms for a 700-row banded M-matrix, about 0.35 s for fv1")
 		jobTimeout   = flag.Duration("job-timeout", 0, "default per-job wall-time bound (0: none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain bound before canceling jobs")
 		maxAttempts  = flag.Int("max-attempts", 1, "runs per job before a divergent/non-converged failure is terminal")

@@ -22,6 +22,15 @@ func Certify(a *sparse.CSR, opt certify.Options) (certify.Certificate, error) {
 // typed result: which convergence guarantees hold for a given system.
 type ConvergenceReport struct {
 	// RhoB is ρ(B), B = I − D⁻¹A: Jacobi converges iff RhoB < 1.
+	//
+	// When B is signature-similar to ±|B| — a diagonal ±1 matrix S gives
+	// S·B·S = ±|B| on each connected component of B's pattern, as for
+	// every M-matrix (B ≥ 0), every matrix with positive off-diagonals
+	// (B ≤ 0) and every paper matrix — RhoB is the RhoAbsB estimate
+	// itself: similarity and negation keep the spectral radius, so
+	// ρ(B) = ρ(|B|) exactly and one Perron iteration on |B| gives both.
+	// Only otherwise, where ρ(B) < ρ(|B|) can happen, does a seeded power
+	// method run on B (spectral.JacobiRadii).
 	RhoB float64
 	// RhoAbsB is ρ(|B|): Strikwerda's sufficient condition — the
 	// asynchronous iteration converges for *every* admissible update and
@@ -61,14 +70,13 @@ func CheckConvergence(a *sparse.CSR, lanczosSteps int, seed int64) (ConvergenceR
 	var r ConvergenceReport
 	r.StrictlyDiagonallyDominant = a.IsStrictlyDiagonallyDominant()
 
-	rho, err := spectral.JacobiSpectralRadius(a, seed)
-	if err != nil && rho == 0 {
-		return r, fmt.Errorf("core: ρ(B): %w", err)
+	rho, rhoAbs, errB, errAbs := spectral.JacobiRadii(a, seed)
+	if errB != nil && rho == 0 {
+		return r, fmt.Errorf("core: ρ(B): %w", errB)
 	}
 	r.RhoB = rho
-	rhoAbs, err := spectral.AbsJacobiSpectralRadius(a, seed)
-	if err != nil && rhoAbs == 0 {
-		return r, fmt.Errorf("core: ρ(|B|): %w", err)
+	if errAbs != nil && rhoAbs == 0 {
+		return r, fmt.Errorf("core: ρ(|B|): %w", errAbs)
 	}
 	r.RhoAbsB = rhoAbs
 	r.JacobiConverges = r.RhoB < 1

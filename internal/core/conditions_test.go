@@ -9,18 +9,37 @@ import (
 )
 
 func TestCheckConvergenceDominant(t *testing.T) {
-	r, err := CheckConvergence(mats.FV(20, 20, 1.368), 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.StrictlyDiagonallyDominant || !r.JacobiConverges || !r.AsyncGuaranteed {
-		t.Errorf("fv analog should satisfy everything: %+v", r)
-	}
-	if r.SuggestedTau != 0 {
-		t.Errorf("no τ needed when ρ(B) < 1, got %g", r.SuggestedTau)
-	}
-	if !strings.Contains(r.String(), "guaranteed") {
-		t.Errorf("String() = %q", r.String())
+	for _, tc := range []struct {
+		name string
+		a    *matCSR
+		// exact is the analytic ρ(B), when known.
+		exact float64
+	}{
+		{"fv analog", mats.FV(20, 20, 1.368), 0},
+		// The fleet corpus matrix: B = |B| ≥ 0 and every row of |B| sums to
+		// 1/1.5, so ρ(B) = ρ(|B|) = 2/3 exactly.
+		{"DiagDominant(700,4,1.5)", mats.DiagDominant(700, 4, 1.5), 2.0 / 3},
+	} {
+		r, err := CheckConvergence(tc.a, 50, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !r.StrictlyDiagonallyDominant || !r.JacobiConverges || !r.AsyncGuaranteed {
+			t.Errorf("%s should satisfy everything: %+v", tc.name, r)
+		}
+		if r.SuggestedTau != 0 {
+			t.Errorf("%s: no τ needed when ρ(B) < 1, got %g", tc.name, r.SuggestedTau)
+		}
+		if !strings.Contains(r.String(), "guaranteed") {
+			t.Errorf("%s: String() = %q", tc.name, r.String())
+		}
+		// Both are Z-matrices (B ≥ 0), so ρ(B) and ρ(|B|) are one estimate.
+		if r.RhoB != r.RhoAbsB {
+			t.Errorf("%s: ρ(B) = %v, ρ(|B|) = %v, want equal", tc.name, r.RhoB, r.RhoAbsB)
+		}
+		if tc.exact != 0 && math.Abs(r.RhoB-tc.exact) > 1e-6 {
+			t.Errorf("%s: ρ(B) = %.10f, want %.10f", tc.name, r.RhoB, tc.exact)
+		}
 	}
 }
 

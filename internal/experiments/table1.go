@@ -44,11 +44,13 @@ func Table1Properties(name string, lanczosSteps int, seed int64) (MatrixProperti
 	if e, lerr := spectral.LanczosExtremes(nm, lanczosSteps, seed); lerr == nil && e.Min > 0 {
 		p.CondDA = e.Max / e.Min
 	}
-	if p.RhoM, err = spectral.JacobiSpectralRadius(a, seed); err != nil && p.RhoM == 0 {
-		return MatrixProperties{}, fmt.Errorf("table1 %s: ρ(B): %w", name, err)
+	var errB, errAbs error
+	p.RhoM, p.RhoAbsM, errB, errAbs = spectral.JacobiRadii(a, seed)
+	if errB != nil && p.RhoM == 0 {
+		return MatrixProperties{}, fmt.Errorf("table1 %s: ρ(B): %w", name, errB)
 	}
-	if p.RhoAbsM, err = spectral.AbsJacobiSpectralRadius(a, seed); err != nil && p.RhoAbsM == 0 {
-		return MatrixProperties{}, fmt.Errorf("table1 %s: ρ(|B|): %w", name, err)
+	if errAbs != nil && p.RhoAbsM == 0 {
+		return MatrixProperties{}, fmt.Errorf("table1 %s: ρ(|B|): %w", name, errAbs)
 	}
 	return p, nil
 }

@@ -1007,14 +1007,14 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 	nb := plan.Prepared.NumBlocks()
 	s.perf.SetOccupancy(s.occupancy, nb)
 	j.setProgress(Progress{NumBlocks: nb, PlanHit: hit})
-	scratch := make([]float64, a.Rows)
+	scratch, resid := make([]float64, a.Rows), make([]float64, a.Rows)
 	opt.AfterIteration = func(iter int, x core.VectorAccess) {
 		for i := 0; i < x.Len(); i++ {
 			scratch[i] = x.Get(i)
 		}
 		j.setProgress(Progress{
 			GlobalIteration: iter,
-			Residual:        solver.Residual(a, b, scratch),
+			Residual:        solver.ResidualInto(resid, a, b, scratch),
 			NumBlocks:       nb,
 			PlanHit:         hit,
 		})

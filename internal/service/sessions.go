@@ -744,14 +744,14 @@ func (s *Service) runStep(ss *session, req StepRequest, progress func(StepProgre
 		opt.Seed = req.Seed
 	}
 	if progress != nil {
-		scratch := make([]float64, a.Rows)
+		scratch, resid := make([]float64, a.Rows), make([]float64, a.Rows)
 		opt.AfterIteration = func(iter int, x core.VectorAccess) {
 			for i := 0; i < x.Len(); i++ {
 				scratch[i] = x.Get(i)
 			}
 			progress(StepProgress{
 				GlobalIteration: iter,
-				Residual:        solver.Residual(a, req.RHS, scratch),
+				Residual:        solver.ResidualInto(resid, a, req.RHS, scratch),
 			})
 		}
 	}

@@ -62,7 +62,12 @@ func (o Options) start(n int) []float64 {
 
 // Residual computes ‖b − Ax‖₂.
 func Residual(a *sparse.CSR, b, x []float64) float64 {
-	r := make([]float64, len(b))
+	return ResidualInto(make([]float64, len(b)), a, b, x)
+}
+
+// ResidualInto is Residual computed in the caller's scratch vector r
+// (length len(b)), so a per-iteration caller allocates nothing.
+func ResidualInto(r []float64, a *sparse.CSR, b, x []float64) float64 {
 	a.MulVec(r, x)
 	vecmath.Sub(r, b, r)
 	return vecmath.Nrm2(r)

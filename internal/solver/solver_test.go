@@ -276,6 +276,22 @@ func TestResidualHelper(t *testing.T) {
 	}
 }
 
+func TestResidualIntoMatchesResidualWithoutAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := mats.FV(30, 30, 1.368)
+	b, x := make([]float64, a.Rows), make([]float64, a.Rows)
+	for i := range b {
+		b[i], x[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	r := make([]float64, a.Rows)
+	if got, want := ResidualInto(r, a, b, x), Residual(a, b, x); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("ResidualInto = %v, Residual = %v, want bitwise equal", got, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { ResidualInto(r, a, b, x) }); allocs != 0 {
+		t.Errorf("ResidualInto allocates %v times per call, want 0", allocs)
+	}
+}
+
 // Property: for random strictly diagonally dominant SPD systems, both
 // Jacobi and Gauss-Seidel converge to the true solution.
 func TestPropertyStationaryConvergence(t *testing.T) {

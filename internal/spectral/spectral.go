@@ -60,12 +60,59 @@ func PowerMethod(a *sparse.CSR, maxIter int, tol float64, seed int64) (PowerMeth
 }
 
 // JacobiSpectralRadius estimates ρ(B) for B = I − D⁻¹A, the quantity the
-// paper denotes ρ(M) in Table 1.
+// paper denotes ρ(M) in Table 1. When B is signature-similar to ±|B|
+// (SignatureSimilar), ρ(B) = ρ(|B|) exactly and the result is the
+// AbsJacobiSpectralRadius estimate, bit for bit; otherwise it is a seeded
+// power method on B.
 func JacobiSpectralRadius(a *sparse.CSR, seed int64) (float64, error) {
 	b, err := a.JacobiIterationMatrix()
 	if err != nil {
 		return 0, err
 	}
+	if SignatureSimilar(b) {
+		return absRadius(b)
+	}
+	return powerRadius(b, seed)
+}
+
+// AbsJacobiSpectralRadius estimates ρ(|B|): the Strikwerda asynchronous
+// convergence bound.
+func AbsJacobiSpectralRadius(a *sparse.CSR, seed int64) (float64, error) {
+	b, err := a.JacobiIterationMatrix()
+	if err != nil {
+		return 0, err
+	}
+	return absRadius(b)
+}
+
+// JacobiRadii estimates ρ(B) and ρ(|B|) together from one build of B: the
+// same values JacobiSpectralRadius and AbsJacobiSpectralRadius return, but
+// when B is signature-similar to ±|B| the single Perron estimate of |B|
+// serves both, and only otherwise does a power method run on B. errB and
+// errAbsB accompany each estimate as the single-value estimators would
+// return them.
+func JacobiRadii(a *sparse.CSR, seed int64) (rhoB, rhoAbsB float64, errB, errAbsB error) {
+	b, err := a.JacobiIterationMatrix()
+	if err != nil {
+		return 0, 0, err, err
+	}
+	rhoAbsB, errAbsB = absRadius(b)
+	if SignatureSimilar(b) {
+		return rhoAbsB, rhoAbsB, errAbsB, errAbsB
+	}
+	rhoB, errB = powerRadius(b, seed)
+	return rhoB, rhoAbsB, errB, errAbsB
+}
+
+// absRadius is the Perron estimate of ρ(|B|) behind AbsJacobiSpectralRadius.
+func absRadius(b *sparse.CSR) (float64, error) {
+	r, err := NonNegativeRadius(b.Abs(), 20000, 1e-9)
+	return r.Radius, err
+}
+
+// powerRadius is the seeded power method on B itself, for the B that are
+// not signature-similar to ±|B| and may have ρ(B) < ρ(|B|).
+func powerRadius(b *sparse.CSR, seed int64) (float64, error) {
 	r, err := PowerMethod(b, 5000, 1e-10, seed)
 	if err != nil && !r.Converged {
 		// A near-tie between ±λ eigenvalues makes the plain power method
@@ -78,11 +125,86 @@ func JacobiSpectralRadius(a *sparse.CSR, seed int64) (float64, error) {
 	return r.Radius, err
 }
 
-// AbsJacobiSpectralRadius estimates ρ(|B|): the Strikwerda asynchronous
-// convergence bound.
-func AbsJacobiSpectralRadius(a *sparse.CSR, seed int64) (float64, error) {
-	r, err := AbsJacobiRadius(a, 20000, 1e-9, seed)
-	return r.Radius, err
+// SignatureSimilar reports whether B is signature-similar to ±|B| on each
+// connected component of its pattern: whether there are a diagonal ±1
+// matrix S and one σ = ±1 per component with S·B·S = σ|B| there. Then B is
+// the direct sum of blocks similar to σ|B_c|, and similarity and negation
+// keep the spectral radius, so ρ(B) = ρ(|B|) exactly (the equality case of
+// Wielandt's theorem). M-matrices (B ≥ 0) and matrices with positive
+// off-diagonals (B ≤ 0) qualify. The check is a signed 2-colouring of the
+// pattern by union–find, near-linear in nnz(B); explicit zeros impose
+// nothing, and a non-finite entry fails it.
+func SignatureSimilar(b *sparse.CSR) bool {
+	// Write s_i = (−1)^p_i, σ = (−1)^q and sign(b_ij) = (−1)^t_ij. An entry
+	// b_ij ≠ 0 asks p_i ⊕ p_j = t_ij ⊕ q. A relation p_i = p_r ⊕ x ⊕ (y∧q)
+	// is held as the label x | y<<1, so composing relations is XOR.
+	const qBit = 2
+	n := b.Rows
+	parent := make([]int, n)
+	label := make([]uint8, n) // relation of p_i to p_parent[i]
+	size := make([]int, n)
+	sigma := make([]int8, n) // per root: q once fixed by an odd cycle, else −1
+	for i := range parent {
+		parent[i], size[i], sigma[i] = i, 1, -1
+	}
+	find := func(i int) (int, uint8) {
+		root, rel := i, uint8(0)
+		for parent[root] != root {
+			rel ^= label[root]
+			root = parent[root]
+		}
+		// Path compression: point every node on the path at the root.
+		for acc := rel; i != root; {
+			next, l := parent[i], label[i]
+			parent[i], label[i] = root, acc
+			acc ^= l
+			i = next
+		}
+		return root, rel
+	}
+	for i := 0; i < n; i++ {
+		for p := b.RowPtr[i]; p < b.RowPtr[i+1]; p++ {
+			v := b.Val[p]
+			if v == 0 {
+				continue
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+			edge := uint8(qBit)
+			if v < 0 {
+				edge |= 1
+			}
+			ri, li := find(i)
+			rj, lj := find(b.ColIdx[p])
+			d := li ^ lj ^ edge // p_ri ⊕ p_rj must equal d
+			if ri == rj {
+				// A cycle: even ones need d = 0, odd ones fix q = d's bit 0.
+				if d&qBit == 0 {
+					if d != 0 {
+						return false
+					}
+				} else if q := int8(d & 1); sigma[ri] < 0 {
+					sigma[ri] = q
+				} else if sigma[ri] != q {
+					return false
+				}
+				continue
+			}
+			if sigma[ri] >= 0 && sigma[rj] >= 0 && sigma[ri] != sigma[rj] {
+				return false
+			}
+			if size[ri] < size[rj] {
+				ri, rj = rj, ri
+			}
+			if sigma[ri] < 0 {
+				sigma[ri] = sigma[rj]
+			}
+			parent[rj], label[rj] = ri, d
+			size[ri] += size[rj]
+		}
+	}
+	return true
 }
 
 // AbsJacobiRadius is the bounded-work form of AbsJacobiSpectralRadius:
